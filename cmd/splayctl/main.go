@@ -69,6 +69,7 @@ import (
 
 	splay "github.com/splaykit/splay"
 	"github.com/splaykit/splay/internal/controller"
+	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/livenet"
 	"github.com/splaykit/splay/internal/metrics"
 )
@@ -107,7 +108,7 @@ func main() {
 		return
 	}
 
-	rt := splay.NewLiveRuntime(1)
+	rt := core.NewLiveRuntime(1)
 	node := livenet.NewNode(*host)
 	if *useTLS {
 		cfg, err := livenet.SelfSignedTLS(*host)

@@ -1,7 +1,11 @@
 // Command splayd runs a SPLAY daemon on a testbed host: it connects to
 // the controller, accepts jobs and hosts sandboxed application instances
 // (§3.1). Applications come from the built-in registry (chord, pastry,
-// cyclon, epidemic, bittorrent).
+// cyclon, epidemic, bittorrent). A job that sets report: true streams
+// its instruments to the -metrics aggregator, dialed through the
+// instance's sandbox (so not via the controller host, which instances
+// are blacklisted from); without -metrics such an instance fails with
+// "scenario collects no metrics".
 //
 // Usage:
 //
@@ -29,9 +33,8 @@ import (
 	"time"
 
 	splay "github.com/splaykit/splay"
-	"github.com/splaykit/splay/internal/apps"
-	"github.com/splaykit/splay/internal/config"
 	"github.com/splaykit/splay/internal/controller"
+	"github.com/splaykit/splay/internal/core"
 	"github.com/splaykit/splay/internal/daemon"
 	"github.com/splaykit/splay/internal/hosting"
 	"github.com/splaykit/splay/internal/livenet"
@@ -75,7 +78,7 @@ func main() {
 	useTLS := flag.Bool("tls", false, "secure the controller link with TLS")
 	maxSockets := flag.Int("max-sockets", 0, "per-app socket limit (0 = unlimited)")
 	maxTx := flag.Int64("max-tx", 0, "per-app lifetime egress bytes (0 = unlimited)")
-	metricsAddr := flag.String("metrics", "", "aggregator address for metric reports (empty disables)")
+	metricsAddr := flag.String("metrics", "", "aggregator address for daemon and report: true instance metrics (empty disables)")
 	metricsKey := flag.String("metrics-key", "splay", "key presented to the aggregator")
 	reconnect := flag.Bool("reconnect", false,
 		"redial the controller with jittered exponential backoff when the session drops")
@@ -101,7 +104,16 @@ func main() {
 	if err != nil {
 		log.Fatalf("splayd: %v", err)
 	}
-	rt := splay.NewLiveRuntime(time.Now().UnixNano())
+	// The observability plane: the daemon's own instruments, and those of
+	// instances started with report: true, stream to the controller-side
+	// aggregator as batched delta reports.
+	var maddr transport.Addr
+	if *metricsAddr != "" {
+		if maddr, err = transport.ParseAddr(*metricsAddr); err != nil {
+			log.Fatalf("splayd: metrics: %v", err)
+		}
+	}
+	rt := core.NewLiveRuntime(time.Now().UnixNano())
 	node := livenet.NewNode(*name)
 	if *useTLS {
 		cfg, err := livenet.SelfSignedTLS(*name)
@@ -114,15 +126,9 @@ func main() {
 	cfg.Net = sandbox.NetLimits{MaxSockets: *maxSockets, MaxTxBytes: *maxTx}
 	cfg.Reconnect = *reconnect
 	lg := logging.New(&logging.WriterSink{W: os.Stdout}, *name, cfg.Key, nil)
-	d := daemon.New(rt, node, apps.Default(), cfg, lg)
+	d := daemon.New(rt, node, splay.DaemonRegistry(maddr, *metricsKey), cfg, lg)
 
-	// The observability plane: the daemon's own instruments stream to
-	// the controller-side aggregator as batched delta reports.
 	if *metricsAddr != "" {
-		maddr, err := transport.ParseAddr(*metricsAddr)
-		if err != nil {
-			log.Fatalf("splayd: metrics: %v", err)
-		}
 		reg := metrics.NewRegistry()
 		d.SetInstruments(daemon.NewInstruments(reg))
 		go func() {
@@ -181,7 +187,7 @@ func hostMain(name string, port, httpPort int, useTLS bool, capacity int, tenant
 	if len(tenants) == 0 {
 		return fmt.Errorf("admit at least one -tenant name:key")
 	}
-	rt := splay.NewLiveRuntime(time.Now().UnixNano())
+	rt := core.NewLiveRuntime(time.Now().UnixNano())
 	node := livenet.NewNode(name)
 	if useTLS {
 		cfg, err := livenet.SelfSignedTLS(name)
@@ -199,7 +205,7 @@ func hostMain(name string, port, httpPort int, useTLS bool, capacity int, tenant
 	// Admission validates every submission — wire JSON or a config
 	// document — against the built-in app catalog: unknown apps and
 	// out-of-range params bounce as bad_scenario before queuing.
-	svc := hosting.New(rt, ctl, hosting.Config{Capacity: capacity, Catalog: config.Builtins()})
+	svc := hosting.New(rt, ctl, hosting.Config{Capacity: capacity, Catalog: splay.BuiltinCatalog()})
 	for _, t := range tenants {
 		if err := svc.AddTenant(t); err != nil {
 			return err

@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,6 +116,68 @@ func TestHostPlaneLiveLoopback(t *testing.T) {
 	}
 	if u.TotalJobs != 1 || u.RunningJobs != 0 {
 		t.Errorf("alice usage = %+v, want 1 total job and nothing running (rejects are never admitted)", u)
+	}
+}
+
+// runJobTasks counts the goroutines parked in a hosted job's task.
+func runJobTasks() int {
+	buf := make([]byte, 1<<22)
+	n := runtime.Stack(buf, true)
+	return strings.Count(string(buf[:n]), "hosting.(*Service).runJob(")
+}
+
+// TestHostKillEndsRunningJobLive kills a running one-hour job on a live
+// fleet and checks that the job's hosting task ends with the kill
+// instead of waiting out the declared hour (one leaked goroutine per
+// killed job). The job runs a built-in the resident scenario does not
+// list: a hosted fleet runs every app its catalog admits.
+func TestHostKillEndsRunningJobLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live sockets")
+	}
+	sess, err := residentScenario(2).Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Stop()
+	host, err := sess.Host(splay.HostConfig{
+		Tenants: []splay.HostTenant{{Name: "carol", Key: "kc"}},
+		Catalog: splay.BuiltinCatalog(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runJobTasks()
+	job, err := host.SubmitRaw("kc", []byte("name: hour\nduration: 1h\napps:\n  - app: cyclon\n    nodes: 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for job.State != splay.HostRunning {
+		if job.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job never ran: %+v", job)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if job, err = host.Job("kc", job.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := host.Kill("kc", job.ID); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	for runJobTasks() > before {
+		if time.Now().After(deadline) {
+			t.Fatal("killed job's hosting task still waits out its duration")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	res, err := host.Result("kc", job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != splay.HostKilled {
+		t.Errorf("state = %s, want killed", res.State)
 	}
 }
 

@@ -366,64 +366,3 @@ func (p Param) FormatBounds() string {
 	}
 	return formatParam(p.Kind, p.Min) + ".." + formatParam(p.Kind, p.Max)
 }
-
-// Builtins catalogs the SDK's built-in applications (the registry
-// apps.Register installs, as surfaced through the root package's
-// Env-backed factories). This is the schema "splayctl catalog" prints
-// and splayd -host validates against.
-func Builtins() *Catalog {
-	c := NewCatalog()
-	for _, a := range []AppSchema{
-		{
-			Name: "chord",
-			Doc:  "Chord DHT ring: staggered joins, periodic maintenance, optional lookup workload",
-			Params: []Param{
-				{Name: "bits", Kind: KindInt, Doc: "ring identifier bits (m)", Default: 24, Min: 1, Max: 52, Bounded: true},
-				{Name: "fault_tolerant", Kind: KindBool, Doc: "successor lists + lookup retries", Default: false},
-				{Name: "lookups_per_min", Kind: KindInt, Doc: "per-node random lookups per minute (0 = none)", Default: 0, Min: 0, Max: 600, Bounded: true},
-				{Name: "report", Kind: KindBool, Doc: "stream chord.* and rpc.* instruments to the collect plane", Default: false},
-			},
-		},
-		{
-			Name: "pastry",
-			Doc:  "Pastry prefix-routing overlay with an optional route workload",
-			Params: []Param{
-				{Name: "lookups_per_min", Kind: KindInt, Doc: "per-node random routes per minute (0 = none)", Default: 0, Min: 0, Max: 600, Bounded: true},
-			},
-		},
-		{
-			Name: "cyclon",
-			Doc:  "Cyclon gossip membership: periodic view shuffles with the oldest peer",
-			Params: []Param{
-				{Name: "view_size", Kind: KindInt, Doc: "partial view size (c)", Default: 20, Min: 1, Max: 128, Bounded: true},
-				{Name: "shuffle_len", Kind: KindInt, Doc: "entries exchanged per shuffle (l)", Default: 8, Min: 1, Max: 64, Bounded: true},
-				{Name: "shuffle_every", Kind: KindDuration, Doc: "gossip period", Default: 5 * time.Second,
-					Min: float64(100 * time.Millisecond), Max: float64(10 * time.Minute), Bounded: true},
-				{Name: "report", Kind: KindBool, Doc: "stream cyclon.* instruments to the collect plane", Default: false},
-			},
-		},
-		{
-			Name: "epidemic",
-			Doc:  "epidemic broadcast: position 1 may originate a rumor, everyone forwards",
-			Params: []Param{
-				{Name: "fanout", Kind: KindInt, Doc: "peers infected per round", Default: 8, Min: 1, Max: 64, Bounded: true},
-				{Name: "originate", Kind: KindBool, Doc: "position-1 instance broadcasts a rumor", Default: false},
-			},
-		},
-		{
-			Name: "bittorrent",
-			Doc:  "BitTorrent swarm: position 1 tracks, position 2 seeds, the rest leech",
-			Params: []Param{
-				{Name: "size", Kind: KindSize, Doc: "torrent payload size", Default: 4 << 20,
-					Min: 1 << 10, Max: 1 << 30, Bounded: true},
-				{Name: "piece_size", Kind: KindSize, Doc: "piece size", Default: 64 << 10,
-					Min: 1 << 10, Max: 64 << 20, Bounded: true},
-			},
-		},
-	} {
-		if err := c.Register(a); err != nil {
-			panic(err) // static table: duplicates are impossible
-		}
-	}
-	return c
-}

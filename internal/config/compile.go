@@ -27,8 +27,7 @@ import (
 
 // Options parameterizes compilation.
 type Options struct {
-	// Catalog validates application references and parameters; nil uses
-	// Builtins().
+	// Catalog validates application references and parameters.
 	Catalog *Catalog
 	// Open loads a churn trace reference (churn: {trace: path}),
 	// resolved by the caller (LoadScenarioFile resolves relative to the
@@ -66,15 +65,11 @@ func Validate(data []byte, opt Options) *Error {
 // (the Scenario.Marshal format). The result runs anywhere serialized
 // scenarios do: splay.UnmarshalScenario, POST /jobs, splayctl submit.
 func Compile(data []byte, opt Options) ([]byte, *Error) {
-	cat := opt.Catalog
-	if cat == nil {
-		cat = Builtins()
-	}
 	doc, perr := parseDoc(data)
 	if perr != nil {
 		return nil, perr
 	}
-	c := &compiler{cat: cat, open: opt.Open}
+	c := &compiler{cat: opt.Catalog, open: opt.Open}
 	w, perr := c.scenario(doc)
 	if perr != nil {
 		return nil, perr
@@ -876,9 +871,6 @@ func (c *compiler) assertion(n *node, path string) (faults.Assertion, *Error) {
 // array; structural validation of the rest belongs to the submission
 // decoder.
 func ValidateWire(data []byte, cat *Catalog) *Error {
-	if cat == nil {
-		cat = Builtins()
-	}
 	var w struct {
 		Apps []struct {
 			App    string          `json:"app"`

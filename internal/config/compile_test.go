@@ -37,7 +37,7 @@ func TestCompileMinimal(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			got, perr := Compile([]byte(tc.doc), Options{})
+			got, perr := Compile([]byte(tc.doc), testOptions())
 			if perr != nil {
 				t.Fatalf("compile: %v", perr)
 			}
@@ -117,14 +117,14 @@ workers: 2
 // deterministic byte for byte.
 func TestCompileFull(t *testing.T) {
 	t.Parallel()
-	wire, perr := Compile([]byte(fullDoc), Options{})
+	wire, perr := Compile([]byte(fullDoc), testOptions())
 	if perr != nil {
 		t.Fatalf("compile: %v", perr)
 	}
 	if !json.Valid(wire) {
 		t.Fatalf("compiled output is not valid JSON: %s", wire)
 	}
-	again, perr := Compile([]byte(fullDoc), Options{})
+	again, perr := Compile([]byte(fullDoc), testOptions())
 	if perr != nil || !bytes.Equal(wire, again) {
 		t.Errorf("compile is not deterministic: %v", perr)
 	}
@@ -158,7 +158,7 @@ func TestCompileFull(t *testing.T) {
 func TestCompileChurnScript(t *testing.T) {
 	t.Parallel()
 	doc := "seed: 9\napps:\n  - app: chord\nchurn:\n  script: at 30s join 10\n"
-	wire, perr := Compile([]byte(doc), Options{})
+	wire, perr := Compile([]byte(doc), testOptions())
 	if perr != nil {
 		t.Fatalf("compile: %v", perr)
 	}
@@ -184,13 +184,13 @@ func TestCompileChurnScript(t *testing.T) {
 	// A different churn.seed must yield a different document only when
 	// the script is stochastic; the override must at least be accepted.
 	doc2 := strings.Replace(doc, "  script:", "  seed: 4\n  script:", 1)
-	if _, perr := Compile([]byte(doc2), Options{}); perr != nil {
+	if _, perr := Compile([]byte(doc2), testOptions()); perr != nil {
 		t.Fatalf("churn.seed override: %v", perr)
 	}
 
 	// Multi-line scripts travel as a list of lines.
 	doc3 := "apps:\n  - app: chord\nchurn:\n  script:\n    - at 30s join 10\n    - at 60s leave 5\n"
-	if _, perr := Compile([]byte(doc3), Options{}); perr != nil {
+	if _, perr := Compile([]byte(doc3), testOptions()); perr != nil {
 		t.Fatalf("script list: %v", perr)
 	}
 }
@@ -201,7 +201,7 @@ func TestCompileTrace(t *testing.T) {
 	t.Parallel()
 	doc := "apps:\n  - app: chord\nchurn:\n  trace: nodes.trace\n"
 	trace := "0.5 join 1\n1.5 leave 1\n"
-	wire, perr := Compile([]byte(doc), Options{Open: func(path string) ([]byte, error) {
+	wire, perr := Compile([]byte(doc), Options{Catalog: testCatalog(), Open: func(path string) ([]byte, error) {
 		if path != "nodes.trace" {
 			return nil, fmt.Errorf("unexpected ref %q", path)
 		}
@@ -213,11 +213,11 @@ func TestCompileTrace(t *testing.T) {
 	if !strings.Contains(string(wire), `"churn"`) {
 		t.Errorf("trace did not compile into churn events: %s", wire)
 	}
-	_, perr = Compile([]byte(doc), Options{})
+	_, perr = Compile([]byte(doc), testOptions())
 	if perr == nil || perr.Code != ErrUnsupported || perr.Path != "churn.trace" {
 		t.Errorf("trace without loader = %v, want unsupported at churn.trace", perr)
 	}
-	_, perr = Compile([]byte(doc), Options{Open: func(string) ([]byte, error) {
+	_, perr = Compile([]byte(doc), Options{Catalog: testCatalog(), Open: func(string) ([]byte, error) {
 		return nil, fmt.Errorf("no such file")
 	}})
 	if perr == nil || perr.Code != ErrBadValue {
@@ -283,7 +283,7 @@ func TestCompileErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			_, perr := Compile([]byte(tc.doc), Options{})
+			_, perr := Compile([]byte(tc.doc), testOptions())
 			if perr == nil {
 				t.Fatalf("compiled without error")
 			}
@@ -336,7 +336,7 @@ func TestValidateWire(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			perr := ValidateWire([]byte(tc.wire), nil)
+			perr := ValidateWire([]byte(tc.wire), testCatalog())
 			if tc.code == "" {
 				if perr != nil {
 					t.Fatalf("valid wire rejected: %v", perr)
@@ -354,43 +354,35 @@ func TestValidateWire(t *testing.T) {
 }
 
 // TestCatalogListing covers the catalog's public listing surface, which
-// "splayctl catalog" renders.
+// "splayctl catalog" renders. The built-in apps' own listing is pinned
+// by the root package, which owns their table.
 func TestCatalogListing(t *testing.T) {
 	t.Parallel()
-	c := Builtins()
-	names := c.Names()
-	for _, want := range []string{"bittorrent", "chord", "cyclon", "epidemic", "pastry"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("catalog lacks %q: %v", want, names)
-		}
+	c := testCatalog()
+	if got := fmt.Sprint(c.Names()); got != "[bittorrent chord cyclon]" {
+		t.Errorf("Names() = %s, want sorted", got)
 	}
-	chord, ok := c.Lookup("chord")
+	if apps := c.Apps(); len(apps) != 3 || apps[0].Name != "chord" || apps[2].Name != "bittorrent" {
+		t.Errorf("Apps() not in registration order: %v", apps)
+	}
+	bt, ok := c.Lookup("bittorrent")
 	if !ok {
-		t.Fatal("no chord schema")
+		t.Fatal("no bittorrent schema")
 	}
-	bits, ok := chord.param("bits")
-	if !ok || bits.Kind != KindInt || !bits.Bounded {
-		t.Errorf("chord.bits schema = %+v", bits)
+	size, ok := bt.param("size")
+	if !ok || size.Kind != KindSize || !size.Bounded {
+		t.Errorf("bittorrent.size schema = %+v", size)
 	}
-	if got := bits.FormatBounds(); got != "1..52" {
-		t.Errorf("bits bounds = %q", got)
+	if got := size.FormatDefault(); got != "4MB" {
+		t.Errorf("size default = %q", got)
 	}
-	if got := bits.FormatDefault(); got != "24" {
-		t.Errorf("bits default = %q", got)
+	if got := size.FormatBounds(); got != "1KB..1GB" {
+		t.Errorf("size bounds = %q", got)
 	}
-	cyclon, _ := c.Lookup("cyclon")
-	se, _ := cyclon.param("shuffle_every")
-	if got := se.FormatDefault(); got != "5s" {
-		t.Errorf("shuffle_every default = %q", got)
-	}
-	if got := se.FormatBounds(); got != "100ms..10m0s" {
-		t.Errorf("shuffle_every bounds = %q", got)
+	chord, _ := c.Lookup("chord")
+	ft, _ := chord.param("fault_tolerant")
+	if got := ft.FormatDefault() + " " + ft.FormatBounds(); got != "false -" {
+		t.Errorf("fault_tolerant listing = %q", got)
 	}
 	// Registration rejects duplicates and anonymous schemas.
 	fresh := NewCatalog()

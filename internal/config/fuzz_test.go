@@ -27,7 +27,7 @@ func FuzzCompile(f *testing.F) {
 	f.Add("\tbad")
 	f.Add("apps: {flow: map}")
 	f.Fuzz(func(t *testing.T, doc string) {
-		wire, perr := Compile([]byte(doc), Options{})
+		wire, perr := Compile([]byte(doc), testOptions())
 		if perr != nil {
 			if perr.Code == "" || perr.Msg == "" {
 				t.Fatalf("untyped error %+v for %q", perr, doc)
@@ -38,11 +38,11 @@ func FuzzCompile(f *testing.F) {
 		if !json.Valid(wire) {
 			t.Fatalf("compiled invalid JSON %q from %q", wire, doc)
 		}
-		again, perr := Compile([]byte(doc), Options{})
+		again, perr := Compile([]byte(doc), testOptions())
 		if perr != nil || !bytes.Equal(wire, again) {
 			t.Fatalf("non-deterministic compile of %q: %v", doc, perr)
 		}
-		if verr := ValidateWire(wire, nil); verr != nil {
+		if verr := ValidateWire(wire, testCatalog()); verr != nil {
 			t.Fatalf("compiled wire fails admission: %v (doc %q, wire %s)", verr, doc, wire)
 		}
 	})

@@ -184,6 +184,9 @@ type job struct {
 	frames0     int64
 	frames      int64
 	errMsg      string
+	// wait parks a running job's task for its declared duration;
+	// finish wakes it early so a killed job's task ends at the kill.
+	wait core.Waiter
 }
 
 // Service is the resident hosting plane.
@@ -498,14 +501,24 @@ func (s *Service) runJob(j *job) {
 	j.ten.deploys.Inc()
 	j.ten.frames.Add(uint64(j.frames))
 	killed := j.killed
-	dur := j.duration
+	var w core.Waiter
+	if !killed {
+		w = s.rt.NewWaiter()
+		w.WakeAfter(j.duration, nil)
+		j.wait = w
+	}
 	s.mu.Unlock()
 	if killed {
 		s.finish(j, Killed, "")
 		return
 	}
 
-	s.rt.Sleep(dur)
+	// WakeAfter then Wait is the same two-step timer-then-resume event
+	// order as Sleep, so simulated schedules do not move.
+	w.Wait()
+	s.mu.Lock()
+	j.wait = nil // recycled by Wait: nobody may wake it again
+	s.mu.Unlock()
 	s.finish(j, Done, "")
 }
 
@@ -521,6 +534,10 @@ func (s *Service) finish(j *job, state JobState, errMsg string) {
 	j.errMsg = errMsg
 	j.finishedAt = s.rt.Now()
 	ctl := j.ctlJobs
+	if j.wait != nil {
+		j.wait.Wake(nil)
+		j.wait = nil
+	}
 	if j.acquired {
 		j.acquired = false
 		j.ten.runningJobs--

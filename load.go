@@ -32,10 +32,6 @@ type AppSchema = config.AppSchema
 // CatalogParam is one typed parameter schema.
 type CatalogParam = config.Param
 
-// BuiltinCatalog returns the catalog of built-in applications (chord,
-// pastry, cyclon, epidemic, bittorrent).
-func BuiltinCatalog() *Catalog { return config.Builtins() }
-
 // IsConfigDocument reports whether data looks like a scenario document
 // rather than wire JSON.
 func IsConfigDocument(data []byte) bool { return config.IsDocument(data) }
@@ -45,7 +41,7 @@ func IsConfigDocument(data []byte) bool { return config.IsDocument(data) }
 // the bytes splayctl submits and the hosting plane admits. The error,
 // when non-nil, is a *ConfigError.
 func CompileConfig(data []byte) ([]byte, error) {
-	wire, perr := config.Compile(data, config.Options{})
+	wire, perr := config.Compile(data, config.Options{Catalog: BuiltinCatalog()})
 	if perr != nil {
 		return nil, perr
 	}
@@ -56,7 +52,7 @@ func CompileConfig(data []byte) ([]byte, error) {
 // catalog without running anything. The error, when non-nil, is a
 // *ConfigError.
 func ValidateConfig(data []byte) error {
-	if perr := config.Validate(data, config.Options{}); perr != nil {
+	if perr := config.Validate(data, config.Options{Catalog: BuiltinCatalog()}); perr != nil {
 		return perr
 	}
 	return nil
@@ -67,7 +63,7 @@ func ValidateConfig(data []byte) error {
 // ErrUnsupported): in-memory documents have no directory to resolve
 // them against — use LoadScenarioFile.
 func LoadScenario(data []byte) (Scenario, error) {
-	return loadScenario(data, config.Options{})
+	return loadScenario(data, config.Options{Catalog: BuiltinCatalog()})
 }
 
 // LoadScenarioFile reads and compiles a scenario document; churn trace
@@ -79,6 +75,7 @@ func LoadScenarioFile(path string) (Scenario, error) {
 	}
 	dir := filepath.Dir(path)
 	return loadScenario(data, config.Options{
+		Catalog: BuiltinCatalog(),
 		Open: func(ref string) ([]byte, error) {
 			if !filepath.IsAbs(ref) {
 				ref = filepath.Join(dir, ref)

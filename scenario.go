@@ -669,27 +669,31 @@ func (sc Scenario) simLogger(rt core.Runtime) core.Logger {
 	return logging.New(&logging.WriterSink{W: sc.Collect.Logs}, name, name, rt.Now)
 }
 
-// buildRegistry assembles the deployable application registry: built-ins
-// when a spec names one, Env-wrapped factories for inline apps. A
-// duplicate name surfaces as an error.
+// buildRegistry assembles the deployable application registry:
+// Env-wrapped factories for the scenario's specs (a spec that names a
+// built-in and brings no implementation runs the built-in), then every
+// built-in the specs do not shadow, so a hosted fleet runs whatever its
+// catalog admits. A duplicate spec name surfaces as an error.
 func (sc Scenario) buildRegistry(collect *collectTarget, rules *faults.RPCRules) (*core.Registry, error) {
 	reg := core.NewRegistry()
+	named := make(map[string]bool, len(sc.Apps))
 	for _, spec := range sc.Apps {
 		if spec.Name == "" {
 			return nil, errors.New("splay: app spec needs a name")
 		}
 		if spec.App == nil && spec.New == nil {
-			// By-name built-ins deploy through the SDK factories so they
-			// get an Env: instruments and collect-plane reporting when the
-			// job's params opt in, the raw engine schedule otherwise.
-			nf := builtinFactory(spec.Name)
-			if nf == nil {
+			if spec.New = builtinFactory(spec.Name); spec.New == nil {
 				return nil, fmt.Errorf("splay: app %q is not built in and has no implementation", spec.Name)
 			}
-			spec.New = nf
 		}
 		if err := reg.Register(spec.Name, makeFactory(spec, collect, rules)); err != nil {
 			return nil, fmt.Errorf("splay: %w", err)
+		}
+		named[spec.Name] = true
+	}
+	for _, b := range builtins {
+		if !named[b.schema.Name] {
+			reg.MustRegister(b.schema.Name, makeFactory(AppSpec{Name: b.schema.Name, New: b.New}, collect, rules))
 		}
 	}
 	return reg, nil

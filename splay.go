@@ -38,71 +38,3 @@
 // See DESIGN.md for architecture and EXPERIMENTS.md for the recorded
 // reproduction results.
 package splay
-
-import (
-	"github.com/splaykit/splay/internal/core"
-	"github.com/splaykit/splay/internal/sim"
-)
-
-// Deprecated facade — the pre-SDK surface, kept so existing consumers
-// (cmd/splayd, cmd/splayctl, hand-built simulations) migrate
-// mechanically. New code should author applications against Env and
-// deploy them through Scenario.
-type (
-	// AppContext is the engine-level execution environment.
-	//
-	// Deprecated: applications receive a capability-scoped *Env;
-	// Env.AppContext bridges to the engine for protocol libraries.
-	AppContext = core.AppContext
-	// CoreApp is the engine-level application interface.
-	//
-	// Deprecated: implement App (Run(*Env) error) instead.
-	CoreApp = core.App
-	// CoreAppFunc adapts a function to CoreApp.
-	//
-	// Deprecated: use AppFunc.
-	CoreAppFunc = core.AppFunc
-	// CoreFactory builds a CoreApp from JSON parameters.
-	//
-	// Deprecated: use Factory.
-	CoreFactory = core.Factory
-	// Runtime abstracts time and task scheduling (simulated or live).
-	Runtime = core.Runtime
-	// Registry maps application names to engine factories.
-	//
-	// Deprecated: declare applications as Scenario.Apps entries; the
-	// scenario assembles the registry (built-ins included) itself.
-	Registry = core.Registry
-)
-
-// NewKernel creates a discrete-event simulation kernel.
-//
-// Deprecated: Scenario.Start builds and drives the kernel; Session.RunFor
-// advances it.
-func NewKernel() *sim.Kernel { return sim.NewKernel() }
-
-// NewSimRuntime wraps a kernel as a Runtime.
-//
-// Deprecated: use a simulated Testbed (PlanetLab, ModelNet, Uniform).
-func NewSimRuntime(k *sim.Kernel, seed int64) Runtime { return core.NewSimRuntime(k, seed) }
-
-// NewLiveRuntime returns the real-time runtime.
-//
-// Deprecated: use the Live Testbed.
-func NewLiveRuntime(seed int64) Runtime { return core.NewLiveRuntime(seed) }
-
-// NewRegistry returns an empty application registry.
-//
-// Deprecated: see Registry.
-func NewRegistry() *Registry { return core.NewRegistry() }
-
-// NewAppContext builds an instance context; most users go through
-// StartInstance or the daemon instead.
-//
-// Deprecated: instances deployed through a Scenario receive an Env.
-var NewAppContext = core.NewAppContext
-
-// StartInstance runs an application as a supervised instance.
-//
-// Deprecated: deploy through Scenario, or wrap a context with NewEnv.
-var StartInstance = core.StartInstance
