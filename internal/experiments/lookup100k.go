@@ -139,14 +139,27 @@ func runChordParProf(pk *sim.ParKernel, model simnet.LinkModel, n int, cfg chord
 	if perNode < 1 {
 		perNode = 1
 	}
+	// One key source per partition, reseeded per node: the keys equal
+	// those of a fresh rand.NewSource(seed+ID) without allocating one
+	// per lookup task. Each task draws all its keys before its first
+	// Lookup parks, since the partition's other tasks reseed the source
+	// while it waits.
+	lrngs := make([]*rand.Rand, parts)
+	for p := range lrngs {
+		lrngs[p] = rand.New(rand.NewSource(seed))
+	}
 	for i := range nodes {
 		node := nodes[i]
 		part := nw.Host(i).Part()
 		start := time.Duration(rng.Intn(10000)) * time.Millisecond
 		pk.GoAfter(part, start, func() {
-			lrng := rand.New(rand.NewSource(seed + int64(node.Self().ID)))
-			for j := 0; j < perNode; j++ {
-				key := lrng.Uint64() & ((1 << cfg.Bits) - 1)
+			lrng := lrngs[part]
+			lrng.Seed(seed + int64(node.Self().ID))
+			keys := make([]uint64, perNode)
+			for j := range keys {
+				keys[j] = lrng.Uint64() & ((1 << cfg.Bits) - 1)
+			}
+			for _, key := range keys {
 				res, err := node.Lookup(key)
 				if err != nil {
 					runs[part].fails++

@@ -317,11 +317,11 @@ func (l *Lexer) validValue(depth int) bool {
 	case c == '"':
 		return l.validString()
 	case c == 't':
-		return l.consumeLit("true")
+		return l.Lit("true")
 	case c == 'f':
-		return l.consumeLit("false")
+		return l.Lit("false")
 	case c == 'n':
-		return l.consumeLit("null")
+		return l.Lit("null")
 	default:
 		return l.validNumber()
 	}
@@ -403,8 +403,9 @@ func (l *Lexer) validNumber() bool {
 	return true
 }
 
-// consumeLit consumes an exact keyword.
-func (l *Lexer) consumeLit(lit string) bool {
+// Lit consumes lit if the input continues with exactly those bytes: a
+// keyword, or the fixed key prefix of a canonical encoding.
+func (l *Lexer) Lit(lit string) bool {
 	if l.Pos+len(lit) > len(l.Data) || string(l.Data[l.Pos:l.Pos+len(lit)]) != lit {
 		return false
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/splaykit/splay/internal/core"
+	"github.com/splaykit/splay/internal/llenc"
 	"github.com/splaykit/splay/internal/metrics"
 	"github.com/splaykit/splay/internal/ring"
 	"github.com/splaykit/splay/internal/rpc"
@@ -102,16 +103,10 @@ func FaultTolerantConfig() Config {
 	return c
 }
 
-// NodeRef names a Chord node: its ring identifier and address.
-type NodeRef struct {
-	ID   uint64         `json:"id"`
-	Addr transport.Addr `json:"addr"`
-}
-
-// IsZero reports whether the reference is unset.
-func (r NodeRef) IsZero() bool { return r.Addr.IsZero() }
-
-func (r NodeRef) String() string { return fmt.Sprintf("%d@%s", r.ID, r.Addr) }
+// NodeRef names a Chord node: its ring identifier and address. It is
+// the shared wire reference, whose fast codec keeps encoding/json off
+// every hop.
+type NodeRef = ring.Ref
 
 // ErrLookupFailed is returned when a lookup cannot make progress (all
 // routes toward the key failed).
@@ -342,7 +337,7 @@ func (n *Node) refreshSuccList() {
 		n.suspect(succ)
 		return
 	}
-	var list []NodeRef
+	var list ring.Refs
 	if err := res.Decode(&list); err != nil {
 		return
 	}
@@ -408,7 +403,7 @@ func (n *Node) pickNearFinger(i uint, found NodeRef) NodeRef {
 	candidates := []NodeRef{found}
 	res, err := n.client.Call(found.Addr, "successors")
 	if err == nil {
-		var list []NodeRef
+		var list ring.Refs
 		if res.Decode(&list) == nil {
 			for _, r := range list {
 				if n.space.Between(r.ID, lo, hi, true, false) {
@@ -465,10 +460,36 @@ func (n *Node) suspect(peer NodeRef) {
 	}
 }
 
-// findResult travels on the wire for find_successor.
+// findResult travels on the wire for find_successor. Its fast codec
+// (canonical {"node":<ref>,"hops":N} or decline) rides every hop.
 type findResult struct {
 	Node NodeRef `json:"node"`
 	Hops int     `json:"hops"`
+}
+
+// AppendJSON implements llenc.FastMarshaler.
+func (f findResult) AppendJSON(buf []byte) ([]byte, bool) {
+	b, ok := f.Node.AppendJSON(append(buf, `{"node":`...))
+	if !ok {
+		return buf, false
+	}
+	b = llenc.AppendInt(append(b, `,"hops":`...), int64(f.Hops))
+	return append(b, '}'), true
+}
+
+// ParseJSON implements llenc.FastUnmarshaler; on false f is untouched.
+func (f *findResult) ParseJSON(data []byte) bool {
+	l := llenc.Lexer{Data: data}
+	var v findResult
+	var ok bool
+	if !l.Lit(`{"node":`) || !v.Node.Parse(&l) || !l.Lit(`,"hops":`) {
+		return false
+	}
+	if v.Hops, ok = l.Int(); !ok || !l.Lit("}") || l.Pos != len(data) {
+		return false
+	}
+	*f = v
+	return true
 }
 
 func (n *Node) handleFindSuccessor(args rpc.Args) (any, error) {
@@ -512,13 +533,13 @@ func (n *Node) handleSuccessors(rpc.Args) (any, error) {
 	if n.cfg.FaultTolerant {
 		// Materialize references for the wire; handles are meaningless
 		// outside this partition's intern table.
-		list := make([]NodeRef, len(n.succs))
+		list := make(ring.Refs, len(n.succs))
 		for i, h := range n.succs {
 			list[i] = n.ref(h)
 		}
 		return list, nil
 	}
-	return []NodeRef{n.ref(n.finger[1])}, nil
+	return ring.Refs{n.ref(n.finger[1])}, nil
 }
 
 // findSuccessor resolves id recursively (Listing 2): answer locally when

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"github.com/splaykit/splay/internal/core"
+	"github.com/splaykit/splay/internal/llenc"
+	"github.com/splaykit/splay/internal/ring"
 	"github.com/splaykit/splay/internal/sim"
 	"github.com/splaykit/splay/internal/simnet"
 	"github.com/splaykit/splay/internal/transport"
@@ -55,9 +57,50 @@ func BenchmarkRPCThroughput(b *testing.B) {
 	k.Run()
 }
 
+// findReply has the wire shape of Chord's find_successor reply, with the
+// same ring.Ref-based fast codec.
+type findReply struct {
+	Node ring.Ref `json:"node"`
+	Hops int      `json:"hops"`
+}
+
+func (f findReply) AppendJSON(buf []byte) ([]byte, bool) {
+	b, ok := f.Node.AppendJSON(append(buf, `{"node":`...))
+	if !ok {
+		return buf, false
+	}
+	b = llenc.AppendInt(append(b, `,"hops":`...), int64(f.Hops))
+	return append(b, '}'), true
+}
+
+func (f *findReply) ParseJSON(data []byte) bool {
+	l := llenc.Lexer{Data: data}
+	var v findReply
+	var ok bool
+	if !l.Lit(`{"node":`) || !v.Node.Parse(&l) || !l.Lit(`,"hops":`) {
+		return false
+	}
+	if v.Hops, ok = l.Int(); !ok || !l.Lit("}") || l.Pos != len(data) {
+		return false
+	}
+	*f = v
+	return true
+}
+
+// findSuccessor is the Chord per-hop handler shape: a uint64 key and an
+// int hop count in, a findReply out.
+func findSuccessor(args Args) (any, error) {
+	var id uint64
+	if err := args.Decode(0, &id); err != nil {
+		return nil, err
+	}
+	return findReply{Node: ring.Ref{ID: id, Addr: transport.Addr{Host: "n42", Port: 8000}}, Hops: args.Int(1) + 1}, nil
+}
+
 // BenchmarkRPCCallShapes breaks the throughput number down by call
 // shape: string echo, two-int sum, a struct arg with nil result (the
-// Chord notify shape) and the same struct pre-encoded with rpc.Marshal.
+// Chord notify shape), the same struct pre-encoded with rpc.Marshal, and
+// the Chord find_successor hop (uint64+int in, decoded findReply out).
 func BenchmarkRPCCallShapes(b *testing.B) {
 	type ref struct {
 		ID   uint64         `json:"id"`
@@ -87,6 +130,14 @@ func BenchmarkRPCCallShapes(b *testing.B) {
 			_, err := c.Call(addr, "notify", preEncoded)
 			return err
 		}},
+		{"find-successor", func(c *Client, addr transport.Addr) error {
+			res, err := c.Call(addr, "find_successor", uint64(12345), 2)
+			if err != nil {
+				return err
+			}
+			var fr findReply
+			return res.Decode(&fr)
+		}},
 	}
 	for _, shape := range shapes {
 		b.Run(shape.name, func(b *testing.B) {
@@ -100,6 +151,7 @@ func BenchmarkRPCCallShapes(b *testing.B) {
 				s.Register("echo", func(args Args) (any, error) { return args.String(0), nil })
 				s.Register("sum", func(args Args) (any, error) { return args.Int(0) + args.Int(1), nil })
 				s.Register("notify", func(args Args) (any, error) { return nil, nil })
+				s.Register("find_successor", findSuccessor)
 				if err := s.Start(8000); err != nil {
 					b.Errorf("server: %v", err)
 				}

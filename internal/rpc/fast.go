@@ -67,6 +67,48 @@ func appendArg(b []byte, v any) ([]byte, bool) {
 	return append(b, enc...), true
 }
 
+// encodePayload encodes a handler's result. Types with a fast codec
+// (llenc.FastMarshaler, e.g. ring references) are appended by hand —
+// byte-identical to json.Marshal by that interface's contract — and
+// everything else, declines included, goes through encoding/json. The
+// buffer is sized for a ring reference reply, so that takes one
+// allocation.
+func encodePayload(v any) ([]byte, error) {
+	if fm, ok := v.(llenc.FastMarshaler); ok {
+		if b, ok := fm.AppendJSON(make([]byte, 0, 128)); ok {
+			return b, nil
+		}
+	}
+	return json.Marshal(v)
+}
+
+// decodePayload is json.Unmarshal(data, v) for results and arguments,
+// with fast paths for the payloads protocols decode on every hop:
+// integer literals into *uint64 and *int, and any
+// llenc.FastUnmarshaler. Whatever a fast path declines — and every other
+// target type — falls back to encoding/json, so values and errors are
+// exactly encoding/json's.
+func decodePayload(data []byte, v any) error {
+	l := llenc.Lexer{Data: data}
+	switch p := v.(type) {
+	case *uint64:
+		if x, ok := l.Uint(); ok && l.Pos == len(data) {
+			*p = x
+			return nil
+		}
+	case *int:
+		if x, ok := l.Int(); ok && l.Pos == len(data) {
+			*p = x
+			return nil
+		}
+	case llenc.FastUnmarshaler:
+		if p.ParseJSON(data) {
+			return nil
+		}
+	}
+	return json.Unmarshal(data, v)
+}
+
 // AppendJSON implements llenc.FastMarshaler for the request envelope.
 // On success the appended bytes equal json.Marshal(r); on false buf is
 // returned with its original length (trailing capacity may be dirty).
@@ -96,9 +138,9 @@ func (r *request) AppendJSON(buf []byte) ([]byte, bool) {
 }
 
 // AppendJSON implements llenc.FastMarshaler for the response envelope.
-// Result bytes come from json.Marshal on the server, so they are
-// canonical already; the verbatim scan only rejects what a raw handler
-// payload could smuggle in.
+// Result bytes come from encodePayload on the server (json.Marshal's
+// bytes), so they are canonical already; the verbatim scan only rejects
+// what a raw handler payload could smuggle in.
 func (r *response) AppendJSON(buf []byte) ([]byte, bool) {
 	if !llenc.JSONSafe(r.Err) {
 		return buf, false

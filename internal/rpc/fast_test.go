@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -250,6 +251,29 @@ func TestRPCFastCodecRandomized(t *testing.T) {
 			t.Fatalf("case %d: fast response encode diverges:\n got  %s\n want %s", i, got, want)
 		}
 		checkResponseParse(t, want)
+	}
+}
+
+// TestDecodePayloadIntegersMatchEncodingJSON: the *uint64 and *int fast
+// paths give encoding/json's value and error on every input, declines
+// included.
+func TestDecodePayloadIntegersMatchEncodingJSON(t *testing.T) {
+	for _, src := range []string{
+		`0`, `5`, `-0`, `-1`, `1e3`, `1.0`, `00`, `01`, ` 5`, `5 `, `null`,
+		`"5"`, `true`, ``, `18446744073709551615`, `18446744073709551616`,
+		`4611686018427387904`, `4611686018427387905`, `-4611686018427387904`,
+		`9223372036854775807`, `-9223372036854775808`, `9223372036854775808`,
+	} {
+		gotU, wantU := uint64(7), uint64(7)
+		gotErr, wantErr := decodePayload([]byte(src), &gotU), json.Unmarshal([]byte(src), &wantU)
+		if gotU != wantU || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("uint64 %q: got (%d, %v), want (%d, %v)", src, gotU, gotErr, wantU, wantErr)
+		}
+		gotI, wantI := 7, 7
+		gotErr, wantErr = decodePayload([]byte(src), &gotI), json.Unmarshal([]byte(src), &wantI)
+		if gotI != wantI || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("int %q: got (%d, %v), want (%d, %v)", src, gotI, gotErr, wantI, wantErr)
+		}
 	}
 }
 

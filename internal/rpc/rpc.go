@@ -10,11 +10,12 @@
 // to one destination over a single stream; SetPooling(false) disables the
 // pool for ablation experiments.
 //
-// The message plane is built for throughput: envelopes ride the
-// hand-rolled fast codec in fast.go (byte-identical to encoding/json),
-// argument arrays decode lazily from pooled buffers, and replies queued
-// behind one connection writer are drained in a batch by whichever task
-// got there first. See DESIGN.md ("The message plane").
+// The message plane is built for throughput: envelopes, and payloads
+// whose types carry one, ride the hand-rolled fast codec in fast.go
+// (byte-identical to encoding/json), argument arrays decode lazily from
+// pooled buffers, and replies queued behind one connection writer are
+// drained in a batch by whichever task got there first. See DESIGN.md
+// ("The message plane").
 package rpc
 
 import (
@@ -97,7 +98,7 @@ func (a Args) Decode(i int, v any) error {
 	if a.l == nil || i < 0 || i >= len(a.l.elems) {
 		return fmt.Errorf("rpc: argument %d out of range (%d args)", i, a.Len())
 	}
-	return json.Unmarshal(a.l.elems[i], v)
+	return decodePayload(a.l.elems[i], v)
 }
 
 // String returns argument i as a string (empty on mismatch). Plain
@@ -155,7 +156,7 @@ func (r Result) Decode(v any) error {
 	if len(r) == 0 {
 		return errors.New("rpc: empty result")
 	}
-	return json.Unmarshal([]byte(r), v)
+	return decodePayload(r, v)
 }
 
 // Handler executes one remote procedure. Handlers run as tasks and may
@@ -453,7 +454,7 @@ func (j *reqJob) exec() {
 	if err != nil {
 		resp.Err = err.Error()
 	} else if result != nil {
-		raw, merr := json.Marshal(result)
+		raw, merr := encodePayload(result)
 		if merr != nil {
 			resp.Err = "rpc: unserializable result: " + merr.Error()
 		} else {
